@@ -400,7 +400,16 @@ impl Platform for AnalyticalPlatform {
         base * (1.0 + self.config.noise * eps)
     }
 
-    fn conversion_time_ms(&self, shape: Shape, from: &Primitive, to: &Primitive) -> f64 {
+    /// Time and energy take one noise draw each: the sim LUTs' noise
+    /// stream, which the default-platform reference capture pins byte for
+    /// byte.
+    fn layer_sample(&mut self, net: &Network, node: &Node, prim: &Primitive) -> (f64, f64) {
+        let t = self.layer_time_ms(net, node, prim);
+        let e = self.layer_time_ms(net, node, prim) * self.processor_power_w(prim.processor);
+        (t, e)
+    }
+
+    fn conversion_time_ms(&mut self, shape: Shape, from: &Primitive, to: &Primitive) -> f64 {
         let bytes = shape.bytes() as f64;
         let same_proc = from.processor == to.processor;
         let same_layout = from.layout == to.layout;
@@ -550,7 +559,7 @@ mod tests {
 
     #[test]
     fn conversion_costs_are_ordered() {
-        let p = AnalyticalPlatform::tx2();
+        let mut p = AnalyticalPlatform::tx2();
         let shape = Shape::new(1, 64, 56, 56);
         let cpu_nchw = Primitive::vanilla();
         let mut cpu_nhwc = Primitive::vanilla();

@@ -5,7 +5,7 @@ use std::time::Instant;
 
 use qsdnn_nn::{Network, Node};
 use qsdnn_primitives::{execute_layer, generate_weights, LayerWeights, Primitive, Processor};
-use qsdnn_tensor::{Shape, Tensor};
+use qsdnn_tensor::{DataLayout, Shape, Tensor};
 
 use super::{AnalyticalPlatform, Platform};
 
@@ -16,25 +16,56 @@ use super::{AnalyticalPlatform, Platform};
 /// will differ from a Cortex-A57, but the *relative* ordering of the
 /// algorithm families (direct ≪ GEMM-lowered < Winograd for 3×3) is
 /// preserved, which is what the search consumes.
+///
+/// Fixtures are built once and borrowed by every timed call: each layer's
+/// weights, its seeded inputs converted once per layout a candidate reads,
+/// and one source tensor per (shape, layout) for conversion timings.
 pub struct MeasuredPlatform {
     name: String,
     seed: u64,
     analytical: AnalyticalPlatform,
-    inputs: HashMap<(String, usize), Vec<Tensor>>,
-    weights: HashMap<(String, usize), LayerWeights>,
+    fixtures: HashMap<(String, usize), Fixture>,
+    sources: HashMap<(Shape, DataLayout), Tensor>,
+}
+
+/// One layer's cached weights and inputs.
+struct Fixture {
+    weights: LayerWeights,
+    /// Seeded NCHW inputs, plus their conversion to every other layout a
+    /// candidate has asked for.
+    inputs: HashMap<DataLayout, Vec<Tensor>>,
+}
+
+impl Fixture {
+    fn new(net: &Network, node: &Node, seed: u64) -> Self {
+        let shapes: Vec<Shape> = if node.inputs.is_empty() {
+            vec![node.output_shape]
+        } else {
+            net.input_shapes(node.id)
+        };
+        let nchw = shapes
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| {
+                Tensor::random(
+                    s,
+                    DataLayout::Nchw,
+                    seed ^ (node.id.0 as u64) << 8 ^ i as u64,
+                )
+            })
+            .collect();
+        Fixture {
+            weights: generate_weights(node, &net.input_shapes(node.id), seed),
+            inputs: HashMap::from([(DataLayout::Nchw, nchw)]),
+        }
+    }
 }
 
 impl MeasuredPlatform {
     /// Creates a measured platform; `seed` controls synthetic inputs and
     /// weights. GPU fallback and powers come from the TX-2 spec.
     pub fn new(seed: u64) -> Self {
-        MeasuredPlatform {
-            name: "measured-host".to_string(),
-            seed,
-            analytical: AnalyticalPlatform::tx2(),
-            inputs: HashMap::new(),
-            weights: HashMap::new(),
-        }
+        MeasuredPlatform::with_analytical("measured-host", seed, AnalyticalPlatform::tx2())
     }
 
     /// Measured platform described by a spec: the spec's name labels the
@@ -42,46 +73,43 @@ impl MeasuredPlatform {
     /// the embedded analytical fallback (GPU primitives, cross-processor
     /// links) and the per-processor powers.
     pub fn from_spec(spec: &super::PlatformSpec) -> Self {
+        MeasuredPlatform::with_analytical(
+            &spec.name,
+            spec.seed,
+            AnalyticalPlatform::from_spec(spec),
+        )
+    }
+
+    fn with_analytical(name: &str, seed: u64, analytical: AnalyticalPlatform) -> Self {
         MeasuredPlatform {
-            name: spec.name.clone(),
-            seed: spec.seed,
-            analytical: AnalyticalPlatform::from_spec(spec),
-            inputs: HashMap::new(),
-            weights: HashMap::new(),
+            name: name.to_string(),
+            seed,
+            analytical,
+            fixtures: HashMap::new(),
+            sources: HashMap::new(),
         }
     }
 
-    fn fixture(&mut self, net: &Network, node: &Node) -> (Vec<Tensor>, LayerWeights) {
-        let key = (net.name().to_string(), node.id.0);
+    /// `node`'s inputs in `layout` and its weights, built on first use.
+    fn fixture(
+        &mut self,
+        net: &Network,
+        node: &Node,
+        layout: DataLayout,
+    ) -> (&[Tensor], &LayerWeights) {
         let seed = self.seed;
-        let inputs = self
-            .inputs
-            .entry(key.clone())
-            .or_insert_with(|| {
-                let shapes: Vec<Shape> = if node.inputs.is_empty() {
-                    vec![node.output_shape]
-                } else {
-                    net.input_shapes(node.id)
-                };
-                shapes
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &s)| {
-                        Tensor::random(
-                            s,
-                            qsdnn_tensor::DataLayout::Nchw,
-                            seed ^ (node.id.0 as u64) << 8 ^ i as u64,
-                        )
-                    })
-                    .collect()
-            })
-            .clone();
-        let weights = self
-            .weights
-            .entry(key)
-            .or_insert_with(|| generate_weights(node, &net.input_shapes(node.id), seed))
-            .clone();
-        (inputs, weights)
+        let fx = self
+            .fixtures
+            .entry((net.name().to_string(), node.id.0))
+            .or_insert_with(|| Fixture::new(net, node, seed));
+        if !fx.inputs.contains_key(&layout) {
+            let converted = fx.inputs[&DataLayout::Nchw]
+                .iter()
+                .map(|t| t.to_layout(layout))
+                .collect();
+            fx.inputs.insert(layout, converted);
+        }
+        (&fx.inputs[&layout], &fx.weights)
     }
 }
 
@@ -90,18 +118,17 @@ impl Platform for MeasuredPlatform {
         if prim.processor == Processor::Gpu {
             return self.analytical.layer_time_ms(net, node, prim);
         }
-        let (inputs, weights) = self.fixture(net, node);
-        let converted: Vec<Tensor> = inputs.iter().map(|t| t.to_layout(prim.layout)).collect();
-        let refs: Vec<&Tensor> = converted.iter().collect();
+        let (inputs, weights) = self.fixture(net, node, prim.layout);
+        let refs: Vec<&Tensor> = inputs.iter().collect();
         let start = Instant::now();
-        let out = execute_layer(node, prim, &refs, &weights);
+        let out = execute_layer(node, prim, &refs, weights);
         let elapsed = start.elapsed().as_secs_f64() * 1e3;
         // Keep the optimizer from discarding the computation.
         std::hint::black_box(out.as_slice().first().copied());
         elapsed
     }
 
-    fn conversion_time_ms(&self, shape: Shape, from: &Primitive, to: &Primitive) -> f64 {
+    fn conversion_time_ms(&mut self, shape: Shape, from: &Primitive, to: &Primitive) -> f64 {
         if from.processor != to.processor {
             // Cross-processor copies cannot be measured on the host.
             return self.analytical.conversion_time_ms(shape, from, to);
@@ -109,9 +136,13 @@ impl Platform for MeasuredPlatform {
         if from.layout == to.layout {
             return 0.0;
         }
-        let t = Tensor::random(shape, from.layout, self.seed);
+        let seed = self.seed;
+        let source = self
+            .sources
+            .entry((shape, from.layout))
+            .or_insert_with(|| Tensor::random(shape, from.layout, seed));
         let start = Instant::now();
-        let converted = t.to_layout(to.layout);
+        let converted = source.to_layout(to.layout);
         let elapsed = start.elapsed().as_secs_f64() * 1e3;
         std::hint::black_box(converted.as_slice().first().copied());
         elapsed
@@ -199,7 +230,7 @@ mod tests {
 
     #[test]
     fn layout_conversion_is_measured() {
-        let p = MeasuredPlatform::new(1);
+        let mut p = MeasuredPlatform::new(1);
         let mut nhwc = Primitive::vanilla();
         nhwc.layout = qsdnn_tensor::DataLayout::Nhwc;
         let t = p.conversion_time_ms(Shape::new(1, 32, 32, 32), &Primitive::vanilla(), &nhwc);

@@ -31,8 +31,13 @@ use qsdnn_tensor::Shape;
 
 /// Source of layer execution times and compatibility-layer penalties.
 ///
-/// `layer_time_ms` takes `&mut self` because implementations may keep
-/// internal state (RNG for measurement noise, weight caches, timers).
+/// Phase 1 draws one [`layer_sample`](Platform::layer_sample) per
+/// candidate and repeat, and one
+/// [`conversion_sample`](Platform::conversion_sample) per distinct
+/// processor/layout pair on each graph edge: a single execution yields
+/// both its time and its energy. Both time methods take `&mut self`
+/// because implementations may keep internal state (RNG for measurement
+/// noise, weight and input caches, timers).
 pub trait Platform {
     /// One measured/modelled execution of `node` under `primitive`, in
     /// milliseconds. Successive calls may return slightly different values
@@ -42,31 +47,38 @@ pub trait Platform {
     /// Cost (ms) of the compatibility layer needed between a producer
     /// running `from` and a consumer running `to`, for a tensor of `shape`:
     /// layout repack and/or CPU↔GPU transfer. Zero when fully compatible.
-    fn conversion_time_ms(&self, shape: Shape, from: &Primitive, to: &Primitive) -> f64;
+    /// Depends only on the shape and on the two primitives' processors and
+    /// layouts, the fields the executor decides a conversion by.
+    fn conversion_time_ms(&mut self, shape: Shape, from: &Primitive, to: &Primitive) -> f64;
 
     /// Active power (W) drawn while `processor` executes a kernel. Every
     /// implementation sources this from its [`PlatformSpec`] powers — the
-    /// default energy methods below multiply it into execution time, so
-    /// two specs differing only in a core power rank energy-sensitive
-    /// plans differently.
+    /// default samples below multiply it into execution time, so two
+    /// specs differing only in a core power rank energy-sensitive plans
+    /// differently.
     fn processor_power_w(&self, processor: qsdnn_primitives::Processor) -> f64;
 
     /// Power (W) drawn while a conversion moves data across the
     /// interconnect; from the spec's link description.
     fn transfer_power_w(&self) -> f64;
 
-    /// Energy (mJ) of one execution of `node` under `primitive` — the basis
-    /// of the multi-objective reward extension (paper §VII future work).
-    /// Default: execution time weighted by the spec's per-processor power.
-    fn layer_energy_mj(&mut self, net: &Network, node: &Node, prim: &Primitive) -> f64 {
+    /// One execution of `node` under `primitive` as `(time ms, energy mJ)`
+    /// — energy is the basis of the multi-objective reward extension
+    /// (paper §VII future work). Default: a single
+    /// [`layer_time_ms`](Platform::layer_time_ms) weighted by the spec's
+    /// per-processor power.
+    fn layer_sample(&mut self, net: &Network, node: &Node, prim: &Primitive) -> (f64, f64) {
         let t = self.layer_time_ms(net, node, prim);
-        t * self.processor_power_w(prim.processor)
+        (t, t * self.processor_power_w(prim.processor))
     }
 
-    /// Energy (mJ) of the compatibility layer between `from` and `to`.
-    /// Default: the spec's transfer power times the conversion time.
-    fn conversion_energy_mj(&self, shape: Shape, from: &Primitive, to: &Primitive) -> f64 {
-        self.conversion_time_ms(shape, from, to) * self.transfer_power_w()
+    /// The compatibility layer between `from` and `to` as
+    /// `(time ms, energy mJ)`. Default: a single
+    /// [`conversion_time_ms`](Platform::conversion_time_ms) weighted by the
+    /// spec's transfer power.
+    fn conversion_sample(&mut self, shape: Shape, from: &Primitive, to: &Primitive) -> (f64, f64) {
+        let t = self.conversion_time_ms(shape, from, to);
+        (t, t * self.transfer_power_w())
     }
 
     /// Human-readable platform name for reports.
@@ -75,13 +87,13 @@ pub trait Platform {
 
 /// Boxed platforms are platforms, so [`PlatformRegistry::instantiate`] fits
 /// anywhere a concrete impl does (e.g. `Profiler<Box<dyn Platform>>`).
-/// Every method delegates, overridden energies included.
+/// Every method delegates, overridden samples included.
 impl<P: Platform + ?Sized> Platform for Box<P> {
     fn layer_time_ms(&mut self, net: &Network, node: &Node, primitive: &Primitive) -> f64 {
         (**self).layer_time_ms(net, node, primitive)
     }
 
-    fn conversion_time_ms(&self, shape: Shape, from: &Primitive, to: &Primitive) -> f64 {
+    fn conversion_time_ms(&mut self, shape: Shape, from: &Primitive, to: &Primitive) -> f64 {
         (**self).conversion_time_ms(shape, from, to)
     }
 
@@ -93,12 +105,12 @@ impl<P: Platform + ?Sized> Platform for Box<P> {
         (**self).transfer_power_w()
     }
 
-    fn layer_energy_mj(&mut self, net: &Network, node: &Node, prim: &Primitive) -> f64 {
-        (**self).layer_energy_mj(net, node, prim)
+    fn layer_sample(&mut self, net: &Network, node: &Node, prim: &Primitive) -> (f64, f64) {
+        (**self).layer_sample(net, node, prim)
     }
 
-    fn conversion_energy_mj(&self, shape: Shape, from: &Primitive, to: &Primitive) -> f64 {
-        (**self).conversion_energy_mj(shape, from, to)
+    fn conversion_sample(&mut self, shape: Shape, from: &Primitive, to: &Primitive) -> (f64, f64) {
+        (**self).conversion_sample(shape, from, to)
     }
 
     fn name(&self) -> &str {

@@ -534,8 +534,7 @@ mod tests {
         let weighted = Objective::Weighted { lambda: 2.0 };
         let cost = |spec: &PlatformSpec, prim| {
             let mut p = AnalyticalPlatform::from_spec(spec);
-            let t = p.layer_time_ms(&net, conv, &prim);
-            let e = p.layer_energy_mj(&net, conv, &prim);
+            let (t, e) = p.layer_sample(&net, conv, &prim);
             weighted.scalarize(t, e)
         };
         assert!(

@@ -5,9 +5,17 @@
 //!
 //! 1. every primitive type is benchmarked network-wide (mean over a
 //!    configurable number of repeats — 50 in the paper, one per image);
+//!    each repeat is one [`Platform::layer_sample`], a single execution
+//!    that yields both its time and its energy;
 //! 2. all compatibility layers between *consecutive* (graph-adjacent)
-//!    layers are profiled, branches included (Fig. 3);
+//!    layers are profiled, branches included (Fig. 3). The executor
+//!    inserts a conversion based only on the producer's and consumer's
+//!    (processor, layout), so each edge takes one
+//!    [`Platform::conversion_sample`] per distinct such pair and every
+//!    candidate pair sharing it reuses the sample;
 //! 3. the LUT is assembled.
+
+use std::collections::HashMap;
 
 use qsdnn_nn::Network;
 use qsdnn_primitives::{registry, Library, Primitive};
@@ -85,6 +93,7 @@ impl<P: Platform> Profiler<P> {
         let mut entries: Vec<LayerEntry> = Vec::with_capacity(net.len());
         // 1) Per-primitive benchmarking, averaged over repeats.
         let mut all_candidates: Vec<Vec<Primitive>> = Vec::with_capacity(net.len());
+        let mut layer_samples = 0;
         for node in net.layers() {
             let candidates: Vec<Primitive> = registry::candidates(node)
                 .into_iter()
@@ -96,12 +105,14 @@ impl<P: Platform> Profiler<P> {
                 let mut acc = 0.0;
                 let mut acc_e = 0.0;
                 for _ in 0..self.repeats {
-                    acc += self.platform.layer_time_ms(net, node, prim);
-                    acc_e += self.platform.layer_energy_mj(net, node, prim);
+                    let (t, e) = self.platform.layer_sample(net, node, prim);
+                    acc += t;
+                    acc_e += e;
                 }
                 time_ms.push(acc / self.repeats as f64);
                 energy_mj.push(acc_e / self.repeats as f64);
             }
+            layer_samples += candidates.len() * self.repeats;
             all_candidates.push(candidates.clone());
             entries.push(LayerEntry {
                 name: node.desc.name.clone(),
@@ -112,21 +123,29 @@ impl<P: Platform> Profiler<P> {
                 incoming: Vec::new(),
             });
         }
-        // 2) Compatibility layers on every graph edge (branches handled).
+        // 2) Compatibility layers on every graph edge (branches handled),
+        //    one sample per distinct (processor, layout) pair.
+        let mut conversion_samples = 0;
         for node in net.layers() {
             let li = node.id.0;
             for &producer in &node.inputs {
                 let shape = net.node(producer).output_shape;
                 let from_cands = &all_candidates[producer.0];
                 let self_cands = &all_candidates[li];
+                let mut samples = HashMap::new();
                 let mut penalty = Vec::with_capacity(from_cands.len() * self_cands.len());
                 let mut penalty_energy_mj = Vec::with_capacity(penalty.capacity());
                 for pf in from_cands {
                     for pt in self_cands {
-                        penalty.push(self.platform.conversion_time_ms(shape, pf, pt));
-                        penalty_energy_mj.push(self.platform.conversion_energy_mj(shape, pf, pt));
+                        let key = (pf.processor, pf.layout, pt.processor, pt.layout);
+                        let (t, e) = *samples
+                            .entry(key)
+                            .or_insert_with(|| self.platform.conversion_sample(shape, pf, pt));
+                        penalty.push(t);
+                        penalty_energy_mj.push(e);
                     }
                 }
+                conversion_samples += samples.len();
                 entries[li].incoming.push(IncomingEdge {
                     from: producer.0,
                     penalty,
@@ -149,6 +168,15 @@ impl<P: Platform> Profiler<P> {
                 &[],
             )
             .add(net.len() as u64);
+        for (kind, n) in [("layer", layer_samples), ("conversion", conversion_samples)] {
+            registry
+                .counter(
+                    "qsdnn_profile_samples_total",
+                    "Platform samples drawn by Phase-1 runs (one kernel run or conversion each)",
+                    &[("kind", kind)],
+                )
+                .add(n as u64);
+        }
         CostLut::from_parts(net.name(), self.platform.name(), mode, entries)
     }
 }
@@ -257,6 +285,128 @@ mod tests {
             gpu_ratio > cpu_ratio * 2.0,
             "gpu {gpu_ratio} vs cpu {cpu_ratio}"
         );
+    }
+
+    /// Counts the samples Phase 1 draws; conversion times are a pure
+    /// function of the (processor, layout) pair so memoized penalties can
+    /// be checked against it.
+    #[derive(Default)]
+    struct Counting {
+        layer_calls: usize,
+        conversion_calls: usize,
+    }
+
+    impl Counting {
+        fn conversion(from: &Primitive, to: &Primitive) -> f64 {
+            match (from.processor == to.processor, from.layout == to.layout) {
+                (true, true) => 0.0,
+                (true, false) => 0.5,
+                (false, true) => 2.0,
+                (false, false) => 2.5,
+            }
+        }
+    }
+
+    impl Platform for Counting {
+        fn layer_time_ms(&mut self, _: &Network, _: &qsdnn_nn::Node, _: &Primitive) -> f64 {
+            self.layer_calls += 1;
+            1.0
+        }
+
+        fn conversion_time_ms(
+            &mut self,
+            _: qsdnn_tensor::Shape,
+            from: &Primitive,
+            to: &Primitive,
+        ) -> f64 {
+            self.conversion_calls += 1;
+            Counting::conversion(from, to)
+        }
+
+        fn processor_power_w(&self, _: Processor) -> f64 {
+            2.0
+        }
+
+        fn transfer_power_w(&self) -> f64 {
+            3.0
+        }
+
+        fn name(&self) -> &str {
+            "counting"
+        }
+    }
+
+    #[test]
+    fn one_sample_per_repeat_and_per_compatibility_layer() {
+        let net = zoo::toy_branchy(1);
+        let repeats = 3;
+        let mut profiler = Profiler::with_repeats(Counting::default(), repeats);
+        let lut = profiler.profile(&net, Mode::Gpgpu);
+        let platform = profiler.into_platform();
+
+        let candidates: usize = lut.layers().iter().map(|l| l.candidates.len()).sum();
+        assert_eq!(platform.layer_calls, candidates * repeats);
+
+        let mut distinct = 0;
+        for (li, entry) in lut.layers().iter().enumerate() {
+            for edge in &entry.incoming {
+                let mut pairs = std::collections::HashSet::new();
+                for (fi, pf) in lut.candidates(edge.from).iter().enumerate() {
+                    for (ti, pt) in lut.candidates(li).iter().enumerate() {
+                        pairs.insert((pf.processor, pf.layout, pt.processor, pt.layout));
+                        let k = fi * entry.candidates.len() + ti;
+                        assert_eq!(edge.penalty[k], Counting::conversion(pf, pt));
+                        assert_eq!(edge.penalty_energy_mj[k], edge.penalty[k] * 3.0);
+                    }
+                }
+                distinct += pairs.len();
+            }
+        }
+        assert!(
+            distinct
+                < lut
+                    .layers()
+                    .iter()
+                    .flat_map(|l| &l.incoming)
+                    .map(|e| e.penalty.len())
+                    .sum()
+        );
+        assert_eq!(platform.conversion_calls, distinct);
+    }
+
+    #[test]
+    fn measured_samples_pair_time_with_energy() {
+        use crate::MeasuredPlatform;
+        let net = zoo::lenet5(1);
+        let platform = MeasuredPlatform::new(5);
+        let cpu_w = platform.processor_power_w(Processor::Cpu);
+        let lut = Profiler::with_repeats(platform, 2).profile(&net, Mode::Gpgpu);
+        for (li, entry) in lut.layers().iter().enumerate() {
+            for (ci, prim) in entry.candidates.iter().enumerate() {
+                if prim.processor != Processor::Cpu {
+                    continue;
+                }
+                let (t, e) = (lut.time(li, ci), lut.energy(li, ci));
+                assert!(
+                    (e - t * cpu_w).abs() <= 1e-12 * e.abs(),
+                    "{}/{prim}: energy {e} is not time {t} x {cpu_w} W",
+                    entry.name
+                );
+            }
+            for edge in &entry.incoming {
+                let from = lut.candidates(edge.from);
+                let n = entry.candidates.len();
+                let mut seen = std::collections::HashMap::new();
+                for (fi, pf) in from.iter().enumerate() {
+                    for (ti, pt) in entry.candidates.iter().enumerate() {
+                        let k = fi * n + ti;
+                        let key = (pf.processor, pf.layout, pt.processor, pt.layout);
+                        let sample = (edge.penalty[k], edge.penalty_energy_mj[k]);
+                        assert_eq!(*seen.entry(key).or_insert(sample), sample, "{}", entry.name);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

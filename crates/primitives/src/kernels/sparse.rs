@@ -87,11 +87,13 @@ impl CsrMatrix {
 }
 
 /// Sparse 1×1 convolution: CSR `[OC×IC]` times the NCHW channel-major plane
-/// matrix `[IC × H*W]`. NCHW in/out.
+/// matrix `[IC × OH*OW]`. A strided kernel first gathers every stride-th
+/// pixel of each input plane into that matrix. NCHW in/out.
 ///
 /// # Panics
 ///
-/// Panics if the kernel is not 1×1/stride-1 or `input` is not NCHW.
+/// Panics if the kernel is not 1×1, the padding is not zero or `input` is
+/// not NCHW.
 pub fn conv1x1_sparse(
     input: &Tensor,
     w: &[f32],
@@ -100,18 +102,33 @@ pub fn conv1x1_sparse(
     out_shape: Shape,
 ) -> Tensor {
     assert_eq!(p.kernel, (1, 1), "sparse convolution covers 1x1 kernels");
-    assert_eq!(p.stride, (1, 1), "sparse convolution requires stride 1");
+    assert_eq!(p.pad, (0, 0), "sparse convolution requires zero padding");
     assert_eq!(
         input.layout(),
         DataLayout::Nchw,
         "sparse convolution requires NCHW input"
     );
     let in_s = input.shape();
-    let plane = in_s.h * in_s.w;
+    let in_plane = in_s.h * in_s.w;
+    let plane = out_shape.h * out_shape.w;
+    let (sh, sw) = p.stride;
     let csr = CsrMatrix::from_dense(out_shape.c, in_s.c, w);
     let mut out = Tensor::zeros(out_shape, DataLayout::Nchw);
+    let mut gathered = Vec::new();
     for n in 0..out_shape.n {
-        let x = &input.as_slice()[n * in_s.c * plane..(n + 1) * in_s.c * plane];
+        let x = &input.as_slice()[n * in_s.c * in_plane..(n + 1) * in_s.c * in_plane];
+        let x = if p.stride == (1, 1) {
+            x
+        } else {
+            gathered.clear();
+            for src in x.chunks_exact(in_plane) {
+                for oy in 0..out_shape.h {
+                    let row = &src[oy * sh * in_s.w..];
+                    gathered.extend((0..out_shape.w).map(|ox| row[ox * sw]));
+                }
+            }
+            &gathered[..]
+        };
         let dst = &mut out.as_mut_slice()[n * out_shape.c * plane..(n + 1) * out_shape.c * plane];
         csr.spmm(x, plane, dst);
         if !bias.is_empty() {

@@ -40,7 +40,12 @@ fn dense(rng: &mut SmallRng, len: usize, scale: f32) -> Vec<f32> {
     (0..len).map(|_| rng.gen_range(-scale..scale)).collect()
 }
 
+/// Weights with a fraction `1 - density` zeroed. A dense layer
+/// (`density >= 1.0`) keeps every weight, so it skips the keep/zero draw.
 fn sparse(rng: &mut SmallRng, len: usize, scale: f32, density: f32) -> Vec<f32> {
+    if density >= 1.0 {
+        return dense(rng, len, scale);
+    }
     (0..len)
         .map(|_| {
             let v = rng.gen_range(-scale..scale);

@@ -131,6 +131,7 @@ fn metrics_request_reports_stage_histograms_under_pipelined_load() {
         "qsdnn_search_episodes_total",
         "qsdnn_portfolio_member_us",
         "qsdnn_profile_us",
+        "qsdnn_profile_samples_total",
     ] {
         assert!(
             metrics.family(family).is_some(),

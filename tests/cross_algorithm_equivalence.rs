@@ -93,3 +93,60 @@ fn sphereface_first_stage_primitives_agree() {
         acts.push(reference);
     }
 }
+
+#[test]
+fn strided_sparse_pointwise_matches_vanilla() {
+    // ResNet's stride-2 1×1 shortcut convolutions are offered to the Sparse
+    // library; its CSR kernel must gather the strided plane, not assume
+    // stride 1.
+    use qsdnn::nn::{ConvParams, LayerKind, NetworkBuilder};
+    use qsdnn::primitives::Library;
+    use qsdnn::tensor::Shape;
+
+    let mut b = NetworkBuilder::new("strided_pointwise");
+    let x = b.input(Shape::new(2, 16, 15, 14));
+    b.conv("ds", x, ConvParams::square(24, 1, 2, 0).with_density(0.5))
+        .expect("valid conv");
+    let toy = b.build().expect("valid network");
+    let resnet = zoo::resnet18(1);
+    let strided = |net: &qsdnn::nn::Network| -> Vec<usize> {
+        net.layers()
+            .iter()
+            .filter(|n| matches!(&n.desc.kind, LayerKind::Conv(p) if p.kernel == (1, 1) && p.stride == (2, 2)))
+            .map(|n| n.id.0)
+            .collect()
+    };
+    let mut checked = 0;
+    for net in [&toy, &resnet] {
+        for id in strided(net) {
+            let node = &net.layers()[id];
+            let in_shapes = net.input_shapes(node.id);
+            let weights = generate_weights(node, &in_shapes, 0xCD);
+            let input = Tensor::random(in_shapes[0], DataLayout::Nchw, 0xAB);
+            let cands = registry::candidates(node);
+            let sparse = cands
+                .iter()
+                .find(|p| p.library == Library::Sparse)
+                .expect("pointwise convs are offered to Sparse");
+            let reference = execute_layer(
+                node,
+                &cands[0],
+                &[&input.to_layout(cands[0].layout)],
+                &weights,
+            );
+            let got = execute_layer(node, sparse, &[&input], &weights);
+            let d = reference.max_abs_diff(&got).expect("same shape");
+            assert!(
+                d <= 1e-3,
+                "{}/{}: sparse differs from vanilla by {d}",
+                net.name(),
+                node.desc.name
+            );
+            checked += 1;
+        }
+    }
+    assert!(
+        checked >= 4,
+        "toy plus resnet18's three downsample shortcuts, got {checked}"
+    );
+}
