@@ -66,11 +66,12 @@ impl ReplayBuffer {
         self.items.is_empty()
     }
 
-    /// A shuffled copy of the buffer contents (one replay pass).
-    pub fn shuffled(&self, rng: &mut SmallRng) -> Vec<Transition> {
-        let mut v = self.items.clone();
-        v.shuffle(rng);
-        v
+    /// Refills `out` with the buffer contents in random order (one replay
+    /// pass), reusing `out`'s allocation across passes.
+    pub fn shuffle_into(&self, rng: &mut SmallRng, out: &mut Vec<Transition>) {
+        out.clear();
+        out.extend_from_slice(&self.items);
+        out.shuffle(rng);
     }
 }
 
@@ -116,7 +117,10 @@ mod tests {
             b.push(t(i));
         }
         let mut rng = SmallRng::seed_from_u64(1);
-        let mut got: Vec<usize> = b.shuffled(&mut rng).iter().map(|x| x.layer).collect();
+        // Stale contents of the scratch vector are replaced, not kept.
+        let mut pass = vec![t(99); 3];
+        b.shuffle_into(&mut rng, &mut pass);
+        let mut got: Vec<usize> = pass.iter().map(|x| x.layer).collect();
         got.sort_unstable();
         assert_eq!(got, (0..10).collect::<Vec<_>>());
     }

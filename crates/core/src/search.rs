@@ -188,7 +188,10 @@ impl QsDnnSearch {
         let start = Instant::now();
         let total = schedule.total_episodes();
         let layers = lut.len();
-        let mut replay = ReplayBuffer::new(self.config.replay_capacity.max(1));
+        let capacity = self.config.replay_capacity.max(1);
+        let mut replay = ReplayBuffer::new(capacity);
+        // One replay pass's shuffled transitions, reused every episode.
+        let mut replay_pass: Vec<Transition> = Vec::with_capacity(capacity);
         let mut rng = SmallRng::seed_from_u64(self.config.seed);
 
         let mut best_cost = f64::INFINITY;
@@ -251,8 +254,9 @@ impl QsDnnSearch {
             }
             // Experience replay pass.
             if self.config.replay && !replay.is_empty() {
-                for t in replay.shuffled(&mut rng) {
-                    self.q_update(&mut q, &t);
+                replay.shuffle_into(&mut rng, &mut replay_pass);
+                for t in &replay_pass {
+                    self.q_update(&mut q, t);
                 }
             }
             for t in transitions {

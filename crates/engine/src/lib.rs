@@ -48,4 +48,6 @@ pub use platform::{
     PlatformConfig, PlatformError, PlatformKind, PlatformRegistry, PlatformSpec,
 };
 pub use profiler::Profiler;
-pub use scenario::{LayerSummary, ScenarioDescriptor};
+pub use scenario::{
+    layer_edit_cost, LayerKey, LayerSummary, ScenarioDescriptor, ScenarioShape, TagInterner,
+};

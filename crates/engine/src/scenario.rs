@@ -14,6 +14,9 @@
 //! Descriptors never replace fingerprints as cache keys; they are the
 //! index key that maps "similar enough" scenarios onto each other.
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use qsdnn_primitives::Primitive;
@@ -192,7 +195,7 @@ impl ScenarioDescriptor {
     }
 
     /// Sum of all per-candidate costs — the scenario's overall cost scale.
-    fn total_cost(&self) -> f64 {
+    pub fn total_cost(&self) -> f64 {
         self.layers.iter().map(|l| l.cost.iter().sum::<f64>()).sum()
     }
 
@@ -205,6 +208,28 @@ impl ScenarioDescriptor {
     /// neighbor of the same network scores fractions of 1; a different
     /// network, platform or objective adds whole units.
     pub fn distance(&self, other: &ScenarioDescriptor) -> f64 {
+        let mut tags = TagInterner::default();
+        let own = ScenarioShape::of(self, &mut tags);
+        let theirs = ScenarioShape::of(other, &mut tags);
+        let edit = layer_edit_cost(&own.layers, &theirs.layers);
+        self.distance_with_shapes(other, &own, &theirs, edit)
+    }
+
+    /// [`ScenarioDescriptor::distance`] from precomputed inputs: both
+    /// descriptors' shapes (built through one [`TagInterner`]) and the
+    /// [`layer_edit_cost`] between them. The edit cost depends on the two
+    /// layer-key sequences only, so a caller scoring many descriptors can
+    /// compute it once per distinct pair of layer sequences. `distance` is
+    /// this function with both computed on the spot, so the two agree bit
+    /// for bit.
+    pub fn distance_with_shapes(
+        &self,
+        other: &ScenarioDescriptor,
+        own: &ScenarioShape,
+        theirs: &ScenarioShape,
+        edit: f64,
+    ) -> f64 {
+        // The summation order below is part of the result's bits.
         let mut d = 0.0;
         if self.network != other.network {
             d += NETWORK_MISMATCH;
@@ -220,15 +245,74 @@ impl ScenarioDescriptor {
         }
         let (ba, bb) = (self.batch.max(1) as f64, other.batch.max(1) as f64);
         d += PER_BATCH_DOUBLING * (ba.log2() - bb.log2()).abs();
-        let longest = self.layers.len().max(other.layers.len());
+        let longest = own.layers.len().max(theirs.layers.len());
         if longest > 0 {
-            d += layer_edit_cost(&self.layers, &other.layers) / longest as f64;
+            d += edit / longest as f64;
         }
-        let (ta, tb) = (self.total_cost(), other.total_cost());
+        let (ta, tb) = (own.total_cost, theirs.total_cost);
         if ta > 0.0 && tb > 0.0 && ta.is_finite() && tb.is_finite() {
             d += PER_SCALE_EFOLD * (ta.ln() - tb.ln()).abs();
         }
         d
+    }
+}
+
+/// One layer as the edit cost sees it: an interned tag id and the
+/// candidate-set signature. Two keys built through the same
+/// [`TagInterner`] are equal exactly when the layers' tags and candidate
+/// signatures are.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct LayerKey {
+    tag: usize,
+    candidate_sig: u64,
+}
+
+/// Dense ids for layer tag strings, so the edit cost compares integers
+/// instead of strings. Ids are comparable only between keys built
+/// through the same interner, which grows by one entry per distinct tag
+/// it sees.
+#[derive(Debug, Default)]
+pub struct TagInterner {
+    ids: HashMap<String, usize>,
+}
+
+impl TagInterner {
+    /// The tag's id, assigning the next free one on first sight.
+    pub fn intern(&mut self, tag: &str) -> usize {
+        if let Some(&id) = self.ids.get(tag) {
+            return id;
+        }
+        let id = self.ids.len();
+        self.ids.insert(tag.to_string(), id);
+        id
+    }
+}
+
+/// The layer-dependent inputs of [`ScenarioDescriptor::distance`],
+/// precomputed: the interned per-layer keys and the total profiled cost.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScenarioShape {
+    /// One key per layer, in topological order. Shared, so equal shapes
+    /// can point at one allocation.
+    pub layers: Arc<[LayerKey]>,
+    /// [`ScenarioDescriptor::total_cost`].
+    pub total_cost: f64,
+}
+
+impl ScenarioShape {
+    /// The shape of `desc`, its layer tags interned through `tags`.
+    pub fn of(desc: &ScenarioDescriptor, tags: &mut TagInterner) -> Self {
+        ScenarioShape {
+            layers: desc
+                .layers
+                .iter()
+                .map(|l| LayerKey {
+                    tag: tags.intern(&l.tag),
+                    candidate_sig: l.candidate_sig,
+                })
+                .collect(),
+            total_cost: desc.total_cost(),
+        }
     }
 }
 
@@ -260,37 +344,38 @@ fn platform_divergence(a: &ScenarioDescriptor, b: &ScenarioDescriptor) -> f64 {
     PLATFORM_MISMATCH * mean / (mean + 1.0)
 }
 
-/// Substitution cost between two layer summaries: free for an identical
-/// choice set, half for the same layer type with a different candidate
-/// set, full for a type change. Symmetric by construction.
-fn substitution_cost(a: &LayerSummary, b: &LayerSummary) -> f64 {
+/// Substitution cost between two layers, in half units: free for an
+/// identical choice set, half for the same layer type with a different
+/// candidate set, full for a type change. Symmetric by construction.
+fn substitution_halves(a: LayerKey, b: LayerKey) -> u32 {
     if a.tag != b.tag {
-        1.0
+        2
     } else if a.candidate_sig != b.candidate_sig {
-        0.5
+        1
     } else {
-        0.0
+        0
     }
 }
 
-/// Levenshtein-style edit cost over the two layer sequences (insert/delete
-/// cost 1, substitution per [`substitution_cost`]). `O(n·m)` — fine for
-/// network depths in the hundreds.
-fn layer_edit_cost(a: &[LayerSummary], b: &[LayerSummary]) -> f64 {
-    let (n, m) = (a.len(), b.len());
-    let mut prev: Vec<f64> = (0..=m).map(|j| j as f64).collect();
-    let mut row = vec![0.0; m + 1];
-    for i in 1..=n {
-        row[0] = i as f64;
-        for j in 1..=m {
-            let sub = prev[j - 1] + substitution_cost(&a[i - 1], &b[j - 1]);
-            let del = prev[j] + 1.0;
-            let ins = row[j - 1] + 1.0;
-            row[j] = sub.min(del).min(ins);
+/// Levenshtein-style edit cost over two layer-key sequences (insert/delete
+/// cost 1, substitution per [`substitution_halves`]). Every cost is a
+/// multiple of one half, so the DP runs exactly in integer half units.
+/// `O(n·m)`.
+pub fn layer_edit_cost(a: &[LayerKey], b: &[LayerKey]) -> f64 {
+    let m = b.len();
+    let mut prev: Vec<u32> = (0..=m as u32).map(|j| 2 * j).collect();
+    let mut row = vec![0u32; m + 1];
+    for (i, &ka) in a.iter().enumerate() {
+        row[0] = 2 * (i as u32 + 1);
+        for (j, &kb) in b.iter().enumerate() {
+            let sub = prev[j] + substitution_halves(ka, kb);
+            let del = prev[j + 1] + 2;
+            let ins = row[j] + 2;
+            row[j + 1] = sub.min(del).min(ins);
         }
         std::mem::swap(&mut prev, &mut row);
     }
-    prev[m]
+    f64::from(prev[m]) * 0.5
 }
 
 #[cfg(test)]
@@ -363,6 +448,70 @@ mod tests {
         // One deletion over max-length layers.
         let d = chain.distance(&shorter);
         assert!(d > 0.0 && d <= 1.0, "structural delta is bounded: {d}");
+    }
+
+    /// The edit cost over string tags in floating point, as the DP read
+    /// before it moved onto interned keys and integer half units.
+    fn string_edit_cost(a: &[LayerSummary], b: &[LayerSummary]) -> f64 {
+        let sub = |x: &LayerSummary, y: &LayerSummary| {
+            if x.tag != y.tag {
+                1.0
+            } else if x.candidate_sig != y.candidate_sig {
+                0.5
+            } else {
+                0.0
+            }
+        };
+        let mut prev: Vec<f64> = (0..=b.len()).map(|j| j as f64).collect();
+        for (i, x) in a.iter().enumerate() {
+            let mut row = vec![(i + 1) as f64; b.len() + 1];
+            for (j, y) in b.iter().enumerate() {
+                row[j + 1] = (prev[j] + sub(x, y))
+                    .min(prev[j + 1] + 1.0)
+                    .min(row[j] + 1.0);
+            }
+            prev = row;
+        }
+        prev[b.len()]
+    }
+
+    #[test]
+    fn interned_half_unit_edit_cost_matches_the_string_dp() {
+        let layer = |tag: &str, sig: u64| LayerSummary {
+            tag: tag.to_string(),
+            candidates: Vec::new(),
+            cost: vec![1.0],
+            candidate_sig: sig,
+        };
+        // A small deterministic LCG walks tags, signatures and lengths.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |n: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        let tags = ["conv", "fc", "relu", "pool"];
+        let mut seq = || -> Vec<LayerSummary> {
+            let len = next(9);
+            (0..len)
+                .map(|_| layer(tags[next(4) as usize], next(3)))
+                .collect()
+        };
+        for _ in 0..200 {
+            let (a, b) = (seq(), seq());
+            let mut interner = TagInterner::default();
+            let mut shape = |layers: &[LayerSummary]| {
+                let mut d = ScenarioDescriptor::of(&toy::fig1_lut());
+                d.layers = layers.to_vec();
+                ScenarioShape::of(&d, &mut interner)
+            };
+            let (sa, sb) = (shape(&a), shape(&b));
+            assert_eq!(
+                layer_edit_cost(&sa.layers, &sb.layers).to_bits(),
+                string_edit_cost(&a, &b).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -842,7 +842,7 @@ impl ServiceState {
                         true,
                         &outcome,
                         vanilla_cost_ms,
-                        entry.warm_start,
+                        entry.warm_start.clone(),
                     ));
                 }
                 // Drop the entry only when its plan is definitively gone
@@ -930,7 +930,7 @@ impl ServiceState {
         descriptor: ScenarioDescriptor,
         base_key: String,
         pin: Option<(&str, u64)>,
-        entry: ScenarioEntry,
+        entry: Arc<ScenarioEntry>,
         distance: f64,
         donor: QTable,
         mapping: TransferMapping,
@@ -1000,7 +1000,7 @@ impl ServiceState {
             .max()
             .unwrap_or(0);
         let info = WarmStartInfo {
-            donor_key: entry.plan_key,
+            donor_key: entry.plan_key.clone(),
             donor_network: entry.descriptor.network.clone(),
             donor_distance: distance,
             transferred_states,
